@@ -230,71 +230,38 @@ def _cmd_experiments(ids: List[str], scale: str, seed: int, as_json: bool = Fals
 
 
 def _build_te_network(topology: str, seed: int):
-    """Parse ``name[:size]``, spec shorthand, or a catalog name into a Network.
+    """Build a ``--topology`` value through the scenario topology-kind registry.
 
-    Synthetic families: ``hypercube:4``, ``torus:4``, ``expander:12``,
-    ``waxman:14``.  Real topologies come from the ingestion catalog:
-    ``zoo(abilene)``, ``zoo:abilene``, ``sndlib(geant)``.  Beyond those,
-    *any* registered scenario topology kind is addressable — including
-    the synthetic scale generators: ``isp(pops=16, seed=3)``,
-    ``backbone:2000`` (``name:size`` is shorthand for ``name(size)``).
+    ``name:arg`` is shorthand for ``name(arg)``, so ``hypercube:4``,
+    ``waxman:14``, ``zoo:abilene`` and ``backbone:2000`` mean exactly what
+    ``hypercube(4)``, ``waxman(14)``, ``zoo(abilene)`` and ``backbone(2000)``
+    mean in a scenario suite.  Every registered kind is addressable,
+    including the catalog kinds ``zoo``/``sndlib`` and the synthetic scale
+    generators ``isp(pops=16, seed=3)`` and ``backbone``.
     """
-    from repro.graphs import topologies
-    from repro.graphs.generators import waxman_isp
-
-    name, _, size_text = topology.partition(":")
-    if name.startswith(("zoo", "sndlib")):
-        from repro.exceptions import NetError
-        from repro.net import load_network
-
-        try:
-            return load_network(topology)
-        except NetError as error:
-            print(str(error), file=sys.stderr)
-            raise SystemExit(2)
-    if ":" in topology:
-        try:
-            size = int(size_text) if size_text else None
-        except ValueError:
-            print(f"topology size must be an integer, got {topology!r}", file=sys.stderr)
-            raise SystemExit(2)
-    else:
-        size = None
-    if name == "hypercube":
-        return topologies.hypercube(size if size is not None else 4)
-    if name == "torus":
-        return topologies.torus_2d(size if size is not None else 4)
-    if name == "expander":
-        return topologies.random_regular_expander(size if size is not None else 12, rng=seed)
-    if name == "waxman":
-        return waxman_isp(size if size is not None else 14, rng=seed)
-    # Anything else resolves through the scenario topology-kind registry
-    # (fat-tree, grid, clique, and the synth scale kinds isp/backbone),
-    # so every CLI accepts every registered kind without a bespoke branch.
     from repro.exceptions import GraphError
-    from repro.scenarios.spec import (
-        ScenarioError,
-        TopologySpec,
-        available_topology_kinds,
-    )
+    from repro.scenarios.spec import ScenarioError, TopologySpec, available_topology_kinds
 
-    if "(" in topology:
-        spec_text = topology
-    elif size is not None:
-        spec_text = f"{name}({size})"
-    else:
-        spec_text = name
+    spec_text = topology
+    name, colon, argument = topology.partition(":")
+    if colon:
+        # Only the catalog kinds take a non-integer (name) argument.
+        try:
+            int(argument)
+        except ValueError:
+            if name not in ("zoo", "sndlib"):
+                print(f"topology size must be an integer, got {topology!r}", file=sys.stderr)
+                raise SystemExit(2)
+        spec_text = f"{name}({argument})"
     try:
-        spec = TopologySpec.from_string(spec_text)
+        return TopologySpec.from_string(spec_text).build(rng=seed)
     except (ScenarioError, GraphError) as error:
         print(
             f"invalid topology {topology!r}: {error}\n"
-            f"registered kinds: {available_topology_kinds()} "
-            f"(plus catalog names like zoo(abilene) / sndlib(geant))",
+            f"registered kinds: {available_topology_kinds()}",
             file=sys.stderr,
         )
         raise SystemExit(2)
-    return spec.build(rng=seed)
 
 
 def _cmd_te(
@@ -1083,7 +1050,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     run_parser = scenario_sub.add_parser("run", help="execute a suite and print its report")
     run_parser.add_argument("--suite", default="smoke", help="suite name (default smoke)")
     run_parser.add_argument("--workers", type=int, default=1,
-                            help="worker processes for the topology shards (default 1)")
+                            help="worker processes for the cell queue (default 1)")
     run_parser.add_argument("--seed", type=int, default=None,
                             help="override the suite's master seed")
     run_parser.add_argument("--snapshots", type=int, default=None,

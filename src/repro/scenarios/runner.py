@@ -30,10 +30,6 @@ Executors
     the spec on first touch — what ``shared`` replaces; kept as the
     honest baseline for ``repro bench sweep``.
 
-``shard``
-    The legacy one-process-per-topology ``pool.map`` path, kept for
-    equivalence testing.
-
 Resumable artifact store
 ------------------------
 
@@ -340,8 +336,8 @@ def _build_topology_engine(
 
     Topology construction and scheme installation consume exactly the
     ``(_STREAM_TOPOLOGY, index)`` / ``(_STREAM_ENGINE, index)`` streams,
-    so a parent-built engine, a worker-rebuilt engine, and a legacy
-    shard engine are interchangeable bit for bit.
+    so a parent-built engine and a worker-rebuilt engine are
+    interchangeable bit for bit.
     """
     topology_spec = suite.topologies[topology_index]
     with trace_span(
@@ -462,49 +458,10 @@ def _rebuild_cell_task(cell_index: int) -> Tuple[int, Dict[str, Any], int]:
 
 
 # --------------------------------------------------------------------- #
-# Legacy topology shards
-# --------------------------------------------------------------------- #
-def _run_topology_shard(task: Tuple[Dict[str, Any], int, str]) -> List[Dict[str, Any]]:
-    """Worker entry point: evaluate every cell of one topology.
-
-    ``task`` is ``(suite.to_dict(), topology_index, backend)`` — plain
-    JSON types, so the function is picklable under any multiprocessing
-    start method and the worker rebuilds exactly the state the spec
-    declares.
-    """
-    suite_payload, topology_index, backend = task
-    suite = ScenarioSuite.from_dict(suite_payload)
-    engine = _build_topology_engine(suite, topology_index, backend)
-    cells = [cell for cell in suite.cells() if cell.topology_index == topology_index]
-    return [_evaluate_cell(suite, cell, engine.network, engine) for cell in cells]
-
-
-def _run_suite_shard_cells(
-    suite: ScenarioSuite, workers: int, backend: str
-) -> List[Dict[str, Any]]:
-    """The pre-store executor: one ``pool.map`` task per topology."""
-    suite_payload = suite.to_dict()
-    tasks = [
-        (suite_payload, topology_index, backend)
-        for topology_index in range(len(suite.topologies))
-    ]
-    if workers == 1 or len(tasks) == 1:
-        shard_results = [_run_topology_shard(task) for task in tasks]
-    else:
-        pool_size = min(workers, len(tasks))
-        context = multiprocessing.get_context("spawn")
-        with context.Pool(processes=pool_size) as pool:
-            shard_results = pool.map(_run_topology_shard, tasks)
-    return sorted(
-        (cell for shard in shard_results for cell in shard), key=lambda cell: cell["cell"]
-    )
-
-
-# --------------------------------------------------------------------- #
 # The sweep entry point
 # --------------------------------------------------------------------- #
 #: Accepted ``executor=`` values; ``auto`` maps to inline/shared.
-EXECUTOR_CHOICES = ("auto", "inline", "shared", "rebuild", "shard")
+EXECUTOR_CHOICES = ("auto", "inline", "shared", "rebuild")
 
 
 def _record_completion(store, payloads, index, payload, pid) -> None:
@@ -544,9 +501,8 @@ def _run_pending_cells(
         return
 
     # Cell-granular pool executors.  Pool size is capped only by the
-    # amount of pending work — NOT by the number of topologies (the old
-    # shard executor wasted workers > len(topologies)) and not by
-    # os.cpu_count() (oversubscription is the caller's call).
+    # amount of pending work — NOT by the number of topologies and not
+    # by os.cpu_count() (oversubscription is the caller's call).
     pool_size = max(1, min(workers, len(pending)))
     context = multiprocessing.get_context("spawn")
     segments: List[Any] = []
@@ -624,9 +580,8 @@ def run_suite(
     ``executor`` picks the execution strategy (see the module docs):
     ``"auto"`` (inline for ``workers=1``, shared otherwise),
     ``"inline"``, ``"shared"`` (compile once in the parent, publish
-    operators via shared memory, cell-granular queue), ``"rebuild"``
-    (cell-granular, per-worker engine rebuilds — the bench baseline) or
-    ``"shard"`` (legacy one-task-per-topology ``pool.map``).
+    operators via shared memory, cell-granular queue) or ``"rebuild"``
+    (cell-granular, per-worker engine rebuilds — the bench baseline).
 
     ``artifact_dir`` streams completed cells into a resumable
     :class:`~repro.scenarios.store.ArtifactStore` at that path;
@@ -654,15 +609,6 @@ def run_suite(
     store_path = resume if resume is not None else artifact_dir
     if executor == "auto":
         executor = "inline" if workers == 1 else "shared"
-    if executor == "shard":
-        if store_path is not None:
-            raise ValueError(
-                "the legacy 'shard' executor predates the artifact store; use "
-                "executor='shared' (or 'inline'/'rebuild') with artifact_dir/resume"
-            )
-        cells = _run_suite_shard_cells(suite, workers, backend)
-        return SuiteResult(suite=suite, cells=cells, backend=_resolved_backend(backend))
-
     from repro.scenarios.shm import cleanup_stale_segments
 
     # Debris from a SIGKILLed predecessor (its segments outlive it);

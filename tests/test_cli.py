@@ -87,6 +87,30 @@ def test_te_non_integer_topology_size():
         main(["te", "--topology", "hypercube:abc"])
 
 
+@pytest.mark.parametrize(
+    "cli, registry",
+    [
+        ("hypercube:4", "hypercube(4)"),
+        ("torus:8", "torus(8)"),
+        ("expander:12", "expander(12)"),
+        ("waxman:14", "waxman(14)"),
+        ("zoo:abilene", "zoo(abilene)"),
+        ("backbone:200", "backbone(200)"),
+    ],
+)
+def test_te_topology_spelling_matches_registry(cli, registry):
+    # name:arg on the CLI builds exactly the network name(arg) builds in a suite.
+    from repro.__main__ import _build_te_network
+    from repro.scenarios import TopologySpec
+
+    built = _build_te_network(cli, 0)
+    expected = TopologySpec.from_string(registry).build(rng=0)
+    assert built.name == expected.name
+    assert [(u, v, built.capacity(u, v)) for u, v in built.edges] == [
+        (u, v, expected.capacity(u, v)) for u, v in expected.edges
+    ]
+
+
 def test_te_bad_scheme_param(capsys):
     assert main(["te", "--topology", "hypercube:3", "--scheme", "ksp(k=0)"]) == 2
     assert "bad scheme spec" in capsys.readouterr().err
@@ -183,12 +207,15 @@ def test_stream_run_unknown_stream_exits_2(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_scenarios_run_unknown_executor_exits_2(capsys):
+@pytest.mark.parametrize("executor", ["warp", "shard"])
+def test_scenarios_run_unknown_executor_exits_2(capsys, executor):
     # The runner validates the executor (no argparse choices=), so
-    # unknown names exit 2 with the registered list on one stderr line.
-    assert main(["scenarios", "run", "--suite", "smoke", "--executor", "warp"]) == 2
+    # unknown names (including the removed "shard") exit 2 with the
+    # registered list on one stderr line.
+    assert main(["scenarios", "run", "--suite", "smoke", "--executor", executor]) == 2
     err = capsys.readouterr().err
-    assert "unknown executor" in err and "inline" in err
+    assert "unknown executor" in err
+    assert "['auto', 'inline', 'shared', 'rebuild']" in err
     assert len(err.strip().splitlines()) == 1
 
 

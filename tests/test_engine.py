@@ -28,7 +28,6 @@ from repro.graphs import topologies
 from repro.mcf.lp import min_congestion_lp
 from repro.oblivious.racke import RaeckeTreeRouting
 from repro.oblivious.shortest_path import KShortestPathRouting, ShortestPathRouting
-from repro.te.simulation import TrafficEngineeringSimulator
 from repro.utils.rng import ensure_rng
 
 
@@ -318,14 +317,10 @@ def test_custom_scheme_flows_through_registry_and_simulator(cube3):
         assert "uniform-two-path" in available_schemes()
         assert isinstance(_UniformTwoPathRouter(cube3), Router)
 
-        simulator = TrafficEngineeringSimulator(
-            cube3,
-            rng=0,
-            schemes={"uniform-two-path": "uniform-two-path", "optimal": "optimal"},
-        )
-        simulator.install_paths()
+        engine = RoutingEngine(cube3, ["uniform-two-path", "optimal"], rng=0)
+        engine.install()
         series = constant_series(Demand({(0, 7): 2.0}), 2)
-        report = simulator.simulate(series, schemes=("uniform-two-path", "optimal"))
+        report = engine.evaluate_matrix_series(series, labels=["uniform-two-path", "optimal"])
         assert len(report.results["uniform-two-path"].utilization_ratios) == 2
         assert report.results["uniform-two-path"].mean_ratio() >= 1.0 - 1e-9
     finally:

@@ -56,7 +56,6 @@ def test_public_api_exports_exist():
         "repro.mcf.mwu",
         "repro.mcf.integral",
         "repro.te",
-        "repro.te.simulation",
         "repro.te.metrics",
         "repro.te.failures",
         "repro.analysis",

@@ -7,11 +7,11 @@ The claims under test, in order of importance:
 2. A worker exception (injected via ``REPRO_SWEEP_FAIL_CELL``) aborts
    the sweep but keeps every already-completed cell; the resume is again
    bit-identical.
-3. Every executor (inline / shared / rebuild / shard), worker count and
+3. Every executor (inline / shared / rebuild), worker count and
    evaluation backend assembles the same artifact bit for bit — on the
    built-in catalog-backed suites too, not just synthetic grids.
-4. More workers than topologies actually get used (the old shard path
-   capped the pool at the topology count).
+4. More workers than topologies actually get used (the cell-granular
+   queue is not capped at the topology count).
 """
 
 import os
@@ -189,7 +189,6 @@ def test_executor_equivalence_on_probe_suite():
     reference = run_suite(suite, workers=1).to_json()
     assert run_suite(suite, workers=4, executor="shared").to_json() == reference
     assert run_suite(suite, workers=2, executor="rebuild").to_json() == reference
-    assert run_suite(suite, workers=2, executor="shard").to_json() == reference
     assert live_segments() == []
 
 
@@ -209,7 +208,7 @@ def test_real_world_suite_bit_identical_across_executors(tmp_path):
         suite, workers=4, executor="shared", artifact_dir=str(tmp_path / "store")
     )
     assert shared.to_json() == reference
-    assert run_suite(suite, workers=2, executor="shard").to_json() == reference
+    assert run_suite(suite, workers=2, executor="rebuild").to_json() == reference
 
 
 def test_odme_suite_bit_identical_across_executors():
@@ -237,9 +236,9 @@ def test_streamed_store_and_memory_path_agree(tmp_path):
 # 4. Pool sizing: more workers than topologies are used
 # --------------------------------------------------------------------- #
 def test_more_workers_than_topologies_are_used(tmp_path, monkeypatch):
-    # One topology, nine cells: the legacy shard executor would collapse
-    # this to a single process no matter what; the cell-granular queue
-    # must fan it out.  The delay keeps early workers from draining the
+    # One topology, nine cells: a one-task-per-topology split would
+    # collapse this to a single process no matter what; the cell-granular
+    # queue must fan it out.  The delay keeps early workers from draining the
     # queue before late ones finish spawning.
     suite = probe_suite(
         failures=[

@@ -103,6 +103,10 @@ class Network:
         self._edges: List[Edge] = [edge_key(u, v) for u, v in simple.edges()]
         self._edges.sort(key=repr)
         self._edge_index: Dict[Edge, int] = {e: i for i, e in enumerate(self._edges)}
+        # Both orientations of every edge, so path steps skip edge_key().
+        self._arc_index: Dict[Tuple[Vertex, Vertex], int] = {}
+        for index, (u, v) in enumerate(self._edges):
+            self._arc_index[(u, v)] = self._arc_index[(v, u)] = index
         self._capacities: Dict[Edge, float] = {
             edge_key(u, v): float(simple[u][v]["capacity"]) for u, v in simple.edges()
         }
@@ -145,6 +149,14 @@ class Network:
             return self._edge_index[key]
         except KeyError as exc:
             raise GraphError(f"edge {(u, v)!r} is not in the network") from exc
+
+    def path_edge_indices(self, path: Sequence[Vertex]) -> List[int]:
+        """Indices of the edges ``path`` traverses, in order."""
+        arc_index = self._arc_index
+        try:
+            return [arc_index[arc] for arc in zip(path, path[1:])]
+        except KeyError as exc:
+            raise GraphError(f"path step {exc.args[0]!r} is not an edge of the network") from None
 
     def has_vertex(self, vertex: Vertex) -> bool:
         return vertex in self._vertex_index

@@ -16,22 +16,22 @@ candidate path) plus the congestion variable ``z``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 try:
     from scipy import sparse
-    from scipy.optimize import linprog
 except ImportError:  # pragma: no cover - scipy ships via the [lp] extra
     sparse = None
-    linprog = None
 
 from repro.core.path_system import PathSystem
 from repro.core.routing import Routing
 from repro.demands.demand import Demand
-from repro.exceptions import InfeasibleError, SolverError
-from repro.graphs.network import Network, Path, Vertex, path_edges
+from repro.exceptions import InfeasibleError
+from repro.graphs.network import Path, Vertex, path_edges
+from repro.mcf.lp import solve_min_congestion
 
 
 @dataclass
@@ -60,16 +60,17 @@ def min_congestion_on_paths(
 ) -> PathLPResult:
     """Optimally split ``demand`` over the candidate paths of ``system``.
 
+    One column per (pair, candidate path) in demand and system order, one
+    equality row per pair (its path weights sum to its demand) and one
+    load row per edge, solved by the shared kernel
+    :func:`~repro.mcf.lp.solve_min_congestion` under an ``mcf.path_lp``
+    span.
+
     Raises
     ------
     InfeasibleError
         When some demanded pair has no candidate path in the system.
     """
-    if linprog is None:
-        raise SolverError(
-            "scipy is required for LP solving; install the 'lp' extra "
-            "(pip install repro-semi-oblivious-routing[lp])"
-        )
     network = system.network
     commodities: List[Tuple[Tuple[Vertex, Vertex], float, List[Path]]] = []
     for pair, amount in demand.items():
@@ -82,93 +83,47 @@ def min_congestion_on_paths(
     if not commodities:
         return PathLPResult(congestion=0.0, routing=None, edge_congestions={})
 
-    # Variable layout: one weight per (commodity, path), then z.
-    offsets: List[int] = []
-    total_vars = 0
-    for _, _, paths in commodities:
-        offsets.append(total_vars)
-        total_vars += len(paths)
-    z_index = total_vars
-    num_vars = total_vars + 1
+    edges = network.edges
+    capacities = np.array([network.capacity_of(edge) for edge in edges])
+    counts = np.array([len(paths) for _, _, paths in commodities])
+    num_paths = int(counts.sum())
 
-    cost = np.zeros(num_vars)
-    cost[z_index] = 1.0
+    def assemble():
+        a_eq = sparse.csr_matrix(
+            (np.ones(num_paths), (np.repeat(np.arange(len(commodities)), counts), np.arange(num_paths))),
+            shape=(len(commodities), num_paths),
+        )
+        edge_ids = [
+            network.path_edge_indices(path) for _, _, paths in commodities for path in paths
+        ]
+        hops = np.array([len(ids) for ids in edge_ids])
+        rows = np.fromiter(chain.from_iterable(edge_ids), dtype=np.int64, count=int(hops.sum()))
+        loads = sparse.csr_matrix(
+            (np.ones(len(rows)), (rows, np.repeat(np.arange(num_paths), hops))),
+            shape=(len(edges), num_paths),
+        )
+        amounts = np.array([amount for _, amount, _ in commodities])
+        return a_eq, amounts, loads, capacities
 
-    # Equality: per commodity, path weights sum to the demanded amount.
-    eq_rows: List[int] = []
-    eq_cols: List[int] = []
-    eq_vals: List[float] = []
-    eq_rhs = np.zeros(len(commodities))
-    for commodity_index, (pair, amount, paths) in enumerate(commodities):
-        eq_rhs[commodity_index] = amount
-        for path_offset in range(len(paths)):
-            eq_rows.append(commodity_index)
-            eq_cols.append(offsets[commodity_index] + path_offset)
-            eq_vals.append(1.0)
-    a_eq = sparse.coo_matrix(
-        (eq_vals, (eq_rows, eq_cols)), shape=(len(commodities), num_vars)
-    ).tocsr()
-
-    # Inequality: per edge, total load <= z * capacity.
-    edge_index_map = {edge: idx for idx, edge in enumerate(network.edges)}
-    ub_rows: List[int] = []
-    ub_cols: List[int] = []
-    ub_vals: List[float] = []
-    for commodity_index, (pair, amount, paths) in enumerate(commodities):
-        for path_offset, path in enumerate(paths):
-            column = offsets[commodity_index] + path_offset
-            for edge in path_edges(path):
-                ub_rows.append(edge_index_map[edge])
-                ub_cols.append(column)
-                ub_vals.append(1.0)
-    for edge, row in edge_index_map.items():
-        ub_rows.append(row)
-        ub_cols.append(z_index)
-        ub_vals.append(-network.capacity_of(edge))
-    a_ub = sparse.coo_matrix(
-        (ub_vals, (ub_rows, ub_cols)), shape=(len(edge_index_map), num_vars)
-    ).tocsr()
-    b_ub = np.zeros(len(edge_index_map))
-
-    result = linprog(
-        cost,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=eq_rhs,
-        bounds=[(0, None)] * num_vars,
-        method="highs",
+    weights, congestion, loads = solve_min_congestion(
+        "mcf.path_lp", assemble, commodities=len(commodities), paths=num_paths
     )
-    if result.status == 2:
-        raise InfeasibleError("path LP infeasible")
-    if not result.success:
-        raise SolverError(f"path LP failed: {result.message}")
-
-    solution = result.x
-    congestion = float(solution[z_index])
-
-    edge_congestions: Dict[Tuple[Vertex, Vertex], float] = {}
-    routing = None
+    kept = np.where(weights > 1e-12, weights, 0.0)
     distributions = {}
-    for commodity_index, (pair, amount, paths) in enumerate(commodities):
-        weights = {}
-        for path_offset, path in enumerate(paths):
-            weight = float(solution[offsets[commodity_index] + path_offset])
-            if weight > 1e-12:
-                weights[path] = weight
-                for edge in path_edges(path):
-                    edge_congestions[edge] = edge_congestions.get(edge, 0.0) + weight
-        if not weights:
-            # Degenerate LP output; route everything on the first path.
-            weights = {paths[0]: amount}
-            for edge in path_edges(paths[0]):
-                edge_congestions[edge] = edge_congestions.get(edge, 0.0) + amount
-        total = sum(weights.values())
-        distributions[pair] = {path: weight / total for path, weight in weights.items()}
-    for edge in list(edge_congestions):
-        edge_congestions[edge] /= network.capacity_of(edge)
-    if return_routing:
-        routing = Routing(network, distributions)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    for index, (pair, amount, paths) in enumerate(commodities):
+        block = kept[offsets[index]:offsets[index + 1]]
+        if not block.any():
+            block[0] = amount  # degenerate LP output; route everything on the first path
+        shares = {path: float(weight) for path, weight in zip(paths, block) if weight > 0}
+        total = sum(shares.values())
+        distributions[pair] = {path: weight / total for path, weight in shares.items()}
+    edge_loads = loads @ kept
+    edge_congestions = {
+        edges[index]: float(edge_loads[index] / capacities[index])
+        for index in np.flatnonzero(edge_loads > 0)
+    }
+    routing = Routing(network, distributions) if return_routing else None
 
     return PathLPResult(
         congestion=congestion,

@@ -30,6 +30,25 @@ Executors
     the spec on first touch — what ``shared`` replaces; kept as the
     honest baseline for ``repro bench sweep``.
 
+Worker processes
+----------------
+
+Both pool executors start workers with the ``forkserver`` method
+(``spawn`` only where a platform has no forkserver).  The server is
+started once per parent process with this module and the extension
+axis modules preloaded, so numpy, scipy, networkx and ``repro`` are
+imported once; every pool worker of every later sweep is an
+``os.fork`` of that clean, single-threaded server instead of a fresh
+interpreter that re-imports the stack.  Plain ``fork`` is never used:
+the parent is multi-threaded once numpy and HiGHS have run.
+
+A forked worker inherits the *server's* ``os.environ`` as it was when
+the server started, so the pool initargs carry the parent's current
+environment and each initializer adopts it first (multiprocessing
+already hands every worker the parent's current ``sys.path`` and
+working directory).  Variables read at import time, such as
+``OMP_NUM_THREADS``, still follow the server's start.
+
 Resumable artifact store
 ------------------------
 
@@ -81,7 +100,7 @@ from repro.mcf.lp import min_congestion_lp
 from repro.obs import JsonlSink, Tracer, active_tracer, install_tracer, merge_trace_parts, trace_span
 from repro.te.failures import apply_failure, rebase_system, rebase_without_network
 
-from repro.scenarios.spec import ScenarioCell, ScenarioSuite
+from repro.scenarios.spec import _EXTENSION_AXIS_MODULES, ScenarioCell, ScenarioSuite
 from repro.scenarios.report import SuiteResult
 
 #: SeedSequence stream tags: (suite.seed, _STREAM_*, index) -> generator.
@@ -399,7 +418,20 @@ def _init_worker_tracer(trace_dir: Optional[str]) -> None:
     install_tracer(Tracer(sink=JsonlSink(path), role="worker"))
 
 
-def _init_shared_worker(suite_payload, backend, engines, descriptors, trace_dir=None) -> None:
+def _adopt_parent_environment(environment: Dict[str, str]) -> None:
+    """Replace the worker's environment with the parent's current one.
+
+    A forkserver child starts with the server's environment from the
+    server's start, which may predate variables the parent set or
+    removed since (the ``REPRO_SWEEP_*`` test hooks, for one).
+    """
+    os.environ.clear()
+    os.environ.update(environment)
+
+
+def _init_shared_worker(
+    environment, suite_payload, backend, engines, descriptors, trace_dir=None
+) -> None:
     """Pool initializer: adopt parent-built engines, attach shm operators.
 
     ``engines`` arrives through initargs pickling — lean, because
@@ -413,16 +445,18 @@ def _init_shared_worker(suite_payload, backend, engines, descriptors, trace_dir=
     from repro.linalg.compiled import CompiledRouting
     from repro.scenarios.shm import attach_arrays
 
+    _adopt_parent_environment(environment)
     _init_worker_tracer(trace_dir)
-    suite = ScenarioSuite.from_dict(suite_payload)
-    for topology_index, per_label in descriptors.items():
-        engine = engines[topology_index]
-        for label, (meta, descriptor) in per_label.items():
-            compiled = CompiledRouting.from_arrays(
-                engine.network, meta, attach_arrays(descriptor)
-            )
-            engine.attach_compiled(label, compiled)
-    _WORKER.update(suite=suite, backend=backend, engines=engines)
+    with trace_span("sweep.worker_init", ppid=os.getppid()):
+        suite = ScenarioSuite.from_dict(suite_payload)
+        for topology_index, per_label in descriptors.items():
+            engine = engines[topology_index]
+            for label, (meta, descriptor) in per_label.items():
+                compiled = CompiledRouting.from_arrays(
+                    engine.network, meta, attach_arrays(descriptor)
+                )
+                engine.attach_compiled(label, compiled)
+        _WORKER.update(suite=suite, backend=backend, engines=engines)
 
 
 def _shared_cell_task(cell_index: int) -> Tuple[int, Dict[str, Any], int]:
@@ -435,12 +469,14 @@ def _shared_cell_task(cell_index: int) -> Tuple[int, Dict[str, Any], int]:
     return cell_index, payload, os.getpid()
 
 
-def _init_rebuild_worker(suite_payload, backend, trace_dir=None) -> None:
+def _init_rebuild_worker(environment, suite_payload, backend, trace_dir=None) -> None:
     """Pool initializer for the rebuild baseline: spec only, no shared state."""
+    _adopt_parent_environment(environment)
     _init_worker_tracer(trace_dir)
-    _WORKER.update(
-        suite=ScenarioSuite.from_dict(suite_payload), backend=backend, engines={}
-    )
+    with trace_span("sweep.worker_init", ppid=os.getppid()):
+        _WORKER.update(
+            suite=ScenarioSuite.from_dict(suite_payload), backend=backend, engines={}
+        )
 
 
 def _rebuild_cell_task(cell_index: int) -> Tuple[int, Dict[str, Any], int]:
@@ -504,7 +540,17 @@ def _run_pending_cells(
     # amount of pending work — NOT by the number of topologies and not
     # by os.cpu_count() (oversubscription is the caller's call).
     pool_size = max(1, min(workers, len(pending)))
-    context = multiprocessing.get_context("spawn")
+    start_method = (
+        "forkserver" if "forkserver" in multiprocessing.get_all_start_methods() else "spawn"
+    )
+    context = multiprocessing.get_context(start_method)
+    if start_method == "forkserver":
+        # Takes effect when the server starts (the first pool of this
+        # process): workers then fork with the whole stack imported,
+        # the extension axes that parsing a suite loads included.
+        context.set_forkserver_preload(
+            ["repro.scenarios.runner", *_EXTENSION_AXIS_MODULES]
+        )
     segments: List[Any] = []
 
     # When the parent is traced, workers stream their spans into
@@ -540,13 +586,17 @@ def _run_pending_cells(
                         per_label[label] = (meta, descriptor)
                     descriptors[topology_index] = per_label
             initializer = _init_shared_worker
-            initargs = (suite.to_dict(), backend, engines, descriptors, trace_dir)
+            initargs = (
+                dict(os.environ), suite.to_dict(), backend, engines, descriptors, trace_dir
+            )
             task = _shared_cell_task
         else:  # rebuild
             initializer = _init_rebuild_worker
-            initargs = (suite.to_dict(), backend, trace_dir)
+            initargs = (dict(os.environ), suite.to_dict(), backend, trace_dir)
             task = _rebuild_cell_task
-        with context.Pool(
+        with trace_span(
+            "sweep.pool", start_method=start_method, workers=pool_size
+        ), context.Pool(
             processes=pool_size, initializer=initializer, initargs=initargs
         ) as pool:
             for index, payload, pid in pool.imap_unordered(task, pending, chunksize=1):

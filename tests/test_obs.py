@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 
 import pytest
 
@@ -293,6 +294,23 @@ def test_shared_executor_merges_one_span_per_cell():
     # and the merged multiprocess trace is structurally deterministic
     again = _sweep_trace(workers=4, executor="shared")
     assert normalized_tree(records) == normalized_tree(again)
+
+
+@pytest.mark.skipif(
+    "forkserver" not in multiprocessing.get_all_start_methods(),
+    reason="workers fork from a server only where forkserver exists",
+)
+def test_consecutive_sweeps_fork_workers_from_one_server():
+    """Pool start-up is attributed, and workers come from one server."""
+    ppids = set()
+    for _ in range(2):
+        spans = span_records(_sweep_trace(workers=2, executor="shared"))
+        (pool,) = [s for s in spans if s["name"] == "sweep.pool"]
+        assert pool["attrs"] == {"start_method": "forkserver", "workers": 2}
+        inits = [s for s in spans if s["name"] == "sweep.worker_init"]
+        assert len(inits) == 2
+        ppids |= {s["attrs"]["ppid"] for s in inits}
+    assert len(ppids) == 1 and os.getpid() not in ppids
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,23 @@ def test_injected_cell_failure_keeps_completed_cells(tmp_path, monkeypatch, exec
     after.close()
 
 
+@pytest.mark.parametrize("executor", ["shared", "rebuild"])
+def test_workers_see_the_parents_current_environment(monkeypatch, executor):
+    # Pool workers fork from a server that keeps the environment of its
+    # own start; every sweep must still hand them the parent's current one.
+    suite = probe_suite()
+    inline = run_suite(suite, workers=1).to_json()
+    run_suite(suite, workers=2, executor=executor)
+
+    monkeypatch.setenv("REPRO_SWEEP_FAIL_CELL", "4")
+    with pytest.raises(RuntimeError, match="injected failure in cell 4"):
+        run_suite(suite, workers=2, executor=executor)
+    monkeypatch.delenv("REPRO_SWEEP_FAIL_CELL")
+
+    assert run_suite(suite, workers=2, executor=executor).to_json() == inline
+    assert live_segments() == []
+
+
 # --------------------------------------------------------------------- #
 # 3. Executor / worker-count / backend equivalence
 # --------------------------------------------------------------------- #

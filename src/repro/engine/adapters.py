@@ -56,6 +56,7 @@ from repro.exceptions import RoutingError, SolverError
 from repro.graphs.cuts import CutCache
 from repro.graphs.network import Network
 from repro.mcf.lp import min_congestion_lp
+from repro.obs import trace_span
 from repro.oblivious.base import ObliviousRoutingBuilder
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -89,7 +90,8 @@ class BaseRouter(abc.ABC):
     def route(self, demand: Demand) -> RouteResult:
         if not self._installed:
             raise SolverError(f"router {self.name!r}: call install() before route()")
-        return self._route(demand)
+        with trace_span("engine.route_scheme", scheme=self.name):
+            return self._route(demand)
 
     @abc.abstractmethod
     def _install(self, pairs: List[Pair]) -> None:

@@ -220,12 +220,14 @@ class Network:
         canonical: Path = tuple(path)
         if len(set(canonical)) != len(canonical):
             raise PathError(f"path {canonical!r} is not simple")
+        vertex_index = self._vertex_index
         for vertex in canonical:
-            if not self.has_vertex(vertex):
+            if vertex not in vertex_index:
                 raise PathError(f"path vertex {vertex!r} is not in the network")
-        for u, v in zip(canonical, canonical[1:]):
-            if not self.has_edge(u, v):
-                raise PathError(f"path step {(u, v)!r} is not an edge of the network")
+        arc_index = self._arc_index
+        for arc in zip(canonical, canonical[1:]):
+            if arc not in arc_index:
+                raise PathError(f"path step {arc!r} is not an edge of the network")
         if source is not None and canonical[0] != source:
             raise PathError(f"path starts at {canonical[0]!r}, expected {source!r}")
         if target is not None and canonical[-1] != target:

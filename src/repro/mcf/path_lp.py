@@ -93,9 +93,9 @@ def min_congestion_on_paths(
             (np.ones(num_paths), (np.repeat(np.arange(len(commodities)), counts), np.arange(num_paths))),
             shape=(len(commodities), num_paths),
         )
-        edge_ids = [
-            network.path_edge_indices(path) for _, _, paths in commodities for path in paths
-        ]
+        edge_ids = list(
+            chain.from_iterable(system.path_edge_indices(*pair) for pair, _, _ in commodities)
+        )
         hops = np.array([len(ids) for ids in edge_ids])
         rows = np.fromiter(chain.from_iterable(edge_ids), dtype=np.int64, count=int(hops.sum()))
         loads = sparse.csr_matrix(
@@ -109,15 +109,20 @@ def min_congestion_on_paths(
         "mcf.path_lp", assemble, commodities=len(commodities), paths=num_paths
     )
     kept = np.where(weights > 1e-12, weights, 0.0)
+    values = kept.tolist()
     distributions = {}
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    for index, (pair, amount, paths) in enumerate(commodities):
-        block = kept[offsets[index]:offsets[index + 1]]
-        if not block.any():
-            block[0] = amount  # degenerate LP output; route everything on the first path
-        shares = {path: float(weight) for path, weight in zip(paths, block) if weight > 0}
+    start = 0
+    for pair, amount, paths in commodities:
+        stop = start + len(paths)
+        block = values[start:stop]
+        if not any(block):
+            # Degenerate LP output; route everything on the first path
+            # (``kept`` too, so the edge loads below agree).
+            block[0] = kept[start] = amount
+        shares = {path: weight for path, weight in zip(paths, block) if weight > 0}
         total = sum(shares.values())
         distributions[pair] = {path: weight / total for path, weight in shares.items()}
+        start = stop
     edge_loads = loads @ kept
     edge_congestions = {
         edges[index]: float(edge_loads[index] / capacities[index])

@@ -13,12 +13,29 @@ utilization, the windowed maximum congestion, and whether the step
 exceeded the utilization threshold; the final :meth:`summary` adds the
 cumulative/mean/peak congestion and the fraction of time spent above
 the threshold.
+
+The percentiles are numpy's default ``linear`` method (Hyndman–Fan
+type 7), bit-identical to ``np.percentile(u, PERCENTILES)`` without its
+per-call overhead.  For ``n`` values and ``q = level / 100`` the
+virtual index is ``(n - 1) * q``.  Below the top it interpolates
+between ``a`` and ``b``, the order statistics at ``floor(virtual)`` and
+``floor(virtual) + 1``, with weight ``t = virtual - floor(virtual)``.
+At the top (``virtual >= n - 1``) numpy marks both indices ``-1``, so
+``a = b`` is the maximum and ``t = virtual + 1``.  With
+``diff = b - a`` the value is ``b - diff * (1 - t)`` when ``t >= 0.5``
+and ``a + diff * t`` otherwise: ``[inf]`` gives NaN, ``[-0.0]`` gives
+``-0.0``, and a NaN anywhere gives NaN.  The order statistics come from
+one ``np.partition`` at numpy's own partition points, not a full sort,
+so tied zeros of opposite sign land where numpy puts them (that decides
+the sign of a zero percentile).
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from typing import Any, Deque, Dict, Optional
+from functools import lru_cache
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -26,6 +43,41 @@ from repro.exceptions import StreamError
 
 #: Edge-utilization percentiles reported per step.
 PERCENTILES = (95.0, 99.0)
+
+
+@lru_cache(maxsize=32)
+def _percentile_plan(n: int) -> Tuple[np.ndarray, Tuple[Tuple[int, int, float], ...]]:
+    """numpy's partition points and ``(low, high, weight)`` per level for ``n`` values."""
+    top = n - 1
+    kth = [0, -1]
+    steps = []
+    for level in PERCENTILES:
+        virtual = top * (level / 100)
+        if virtual >= top:
+            low = high = -1  # numpy's marker for the clamped index
+        else:
+            low = math.floor(virtual)
+            high = low + 1
+        kth += [low, high]
+        steps.append((low, high, virtual - low))
+    kth = np.unique(kth)
+    kth.setflags(write=False)  # cached and shared by every caller
+    return kth, tuple(steps)
+
+
+def _linear_percentiles(values: np.ndarray) -> List[float]:
+    """``np.percentile(values, PERCENTILES)`` bit for bit (see module doc)."""
+    values = values.ravel()
+    kth, steps = _percentile_plan(len(values))
+    ordered = np.partition(values, kth)
+    if math.isnan(ordered[-1]):
+        return [math.nan for _ in PERCENTILES]
+    result = []
+    for low, high, weight in steps:
+        a, b = float(ordered[low]), float(ordered[high])
+        diff = b - a
+        result.append(b - diff * (1 - weight) if weight >= 0.5 else a + diff * weight)
+    return result
 
 
 class RollingStreamStats:
@@ -93,7 +145,7 @@ class RollingStreamStats:
         if above:
             self._above += 1
         if utilizations is not None and np.size(utilizations):
-            percentiles = np.percentile(np.asarray(utilizations, dtype=float), PERCENTILES)
+            percentiles = _linear_percentiles(np.asarray(utilizations, dtype=float))
         else:
             percentiles = [congestion for _ in PERCENTILES]
         record: Dict[str, Any] = {

@@ -5,11 +5,15 @@
   permutation demands, and on random small capacitated graphs.
 * The optimal routing's decomposition routes every pair's full demand
   and never exceeds the optimum; a flow it cannot decompose raises.
-* The path LP hands HiGHS the same CSR model as the per-path assembly.
+* The path LP hands HiGHS the same CSR model as the per-path assembly,
+  also after ``add_path`` and on an unpickled path system, whose derived
+  edge index never reaches the pickle.
 * The ``mcf.lp`` span records the model size as a deterministic counter.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import networkx as nx
 import numpy as np
@@ -186,3 +190,69 @@ def test_path_lp_model_is_the_per_path_model(spec, monkeypatch):
     assert (seen["A_ub"] - a_ub).nnz == 0
     assert np.array_equal(seen["b_eq"], b_eq)
     assert not seen["b_ub"].any()
+
+
+def _captured_path_lp(system, demand, monkeypatch):
+    """The keyword arguments the path LP hands ``linprog``, and its span attrs."""
+    seen = {}
+    real_linprog = lp_module.linprog
+
+    def capturing_linprog(cost, **kwargs):
+        seen.update(kwargs)
+        return real_linprog(cost, **kwargs)
+
+    monkeypatch.setattr(lp_module, "linprog", capturing_linprog)
+    tracer = install_tracer(Tracer(sink=RecordingSink()))
+    try:
+        min_congestion_on_paths(system, demand)
+    finally:
+        uninstall_tracer()
+        monkeypatch.undo()
+    (span,) = [r for r in span_records(tracer.records) if r["name"] == "mcf.path_lp"]
+    return seen, span["attrs"]
+
+
+def _assert_per_path_model(seen, system, demand):
+    a_eq, b_eq, a_ub = _per_path_model(system, demand)
+    assert seen["A_eq"].shape == a_eq.shape and seen["A_ub"].shape == a_ub.shape
+    assert (seen["A_eq"] - a_eq).nnz == 0
+    assert (seen["A_ub"] - a_ub).nnz == 0
+    assert np.array_equal(seen["b_eq"], b_eq)
+
+
+def _installed_system(network):
+    engine = RoutingEngine(network, ["semi-oblivious(racke, alpha=4)"], rng=0)
+    engine.install()
+    return engine[engine.labels()[0]].system
+
+
+def test_add_path_after_a_path_lp_adds_one_column(monkeypatch):
+    network = topologies.torus_2d(4)
+    system = _installed_system(network)
+    demand = gravity_demand(network, total=16.0, rng=3)
+    _, before = _captured_path_lp(system, demand, monkeypatch)
+    pair = next(pair for pair, amount in demand.items() if amount > 0)
+    path = next(
+        tuple(path)
+        for path in nx.all_simple_paths(network.graph, *pair)
+        if tuple(path) not in system.paths(*pair)
+    )
+    assert system.add_path(*pair, path)
+    seen, after = _captured_path_lp(system, demand, monkeypatch)
+    assert after["columns"] == before["columns"] + 1
+    # One equality entry plus one load entry per hop of the new path.
+    assert after["nnz"] == before["nnz"] + len(path)
+    _assert_per_path_model(seen, system, demand)
+
+
+def test_pickled_path_system_leaves_out_the_edge_index(monkeypatch):
+    network = topologies.torus_2d(4)
+    system = _installed_system(network)
+    demand = gravity_demand(network, total=16.0, rng=3)
+    never_solved = pickle.dumps(system)
+    min_congestion_on_paths(system, demand)
+    solved = pickle.dumps(system)
+    assert len(solved) == len(never_solved) and solved == never_solved
+    copy = pickle.loads(solved)
+    seen, _ = _captured_path_lp(copy, demand, monkeypatch)
+    _assert_per_path_model(seen, copy, demand)

@@ -99,3 +99,16 @@ def test_greedy_rates_empty_and_missing(cube3):
     assert greedy_rates(system, Demand.empty()).congestion == 0.0
     with pytest.raises(InfeasibleError):
         greedy_rates(system, Demand({(4, 5): 1.0}))
+
+
+def test_degenerate_split_routes_and_loads_the_first_path(cube3):
+    system = PathSystem(cube3)
+    system.add_path(0, 3, (0, 1, 3))
+    system.add_path(0, 3, (0, 2, 3))
+    system.add_path(0, 7, (0, 1, 3, 7))
+    system.add_path(0, 7, (0, 4, 6, 7))
+    # The LP leaves the negligible pair's weights under its 1e-12 cut-off.
+    result = min_congestion_on_paths(system, Demand({(0, 3): 1e-13, (0, 7): 1.0}))
+    assert result.routing.distribution(0, 3) == {(0, 1, 3): 1.0}
+    assert result.edge_congestions[(0, 1)] == result.edge_congestions[(1, 3)] == 0.5 + 1e-13
+    assert (0, 2) not in result.edge_congestions and (2, 3) not in result.edge_congestions

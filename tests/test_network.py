@@ -174,6 +174,36 @@ def test_validate_path_rejects_invalid(cube3, path, kwargs):
         cube3.validate_path(path, **kwargs)
 
 
+@pytest.mark.parametrize(
+    "path, kwargs, message",
+    [
+        ([], {}, "a path must contain at least one vertex"),
+        ([0, 1, 0], {}, "path (0, 1, 0) is not simple"),
+        ([0, 999], {}, "path vertex 999 is not in the network"),
+        ([0, 7], {}, "path step (0, 7) is not an edge of the network"),
+        ([0, 1], {"source": 1}, "path starts at 0, expected 1"),
+        ([0, 1], {"target": 0}, "path ends at 1, expected 0"),
+        # Several faults at once: the checks run in the order above.
+        ([0, 7, 999, 0], {"source": 5}, "path (0, 7, 999, 0) is not simple"),
+        ([0, 7, 999], {"source": 5}, "path vertex 999 is not in the network"),
+        ([0, 7, 6], {"source": 5, "target": 4}, "path step (0, 7) is not an edge of the network"),
+        ([0, 1], {"source": 5, "target": 4}, "path starts at 0, expected 5"),
+        (("a", "b"), {}, "path vertex 'a' is not in the network"),
+    ],
+)
+def test_validate_path_failure_messages(cube3, path, kwargs, message):
+    with pytest.raises(PathError) as caught:
+        cube3.validate_path(path, **kwargs)
+    assert str(caught.value) == message
+
+
+def test_validate_path_names_the_step_of_a_tuple_vertex_network():
+    torus = topologies.torus_2d(3)
+    with pytest.raises(PathError) as caught:
+        torus.validate_path([(0, 0), (1, 1)])
+    assert str(caught.value) == "path step ((0, 0), (1, 1)) is not an edge of the network"
+
+
 def test_shortest_path_and_distance(cube3):
     assert cube3.distance(0, 7) == 3
     path = cube3.shortest_path(0, 7)

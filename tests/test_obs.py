@@ -244,6 +244,57 @@ def test_engine_trace_is_deterministic(backend):
     assert first == _engine_trace(backend)
 
 
+def _descendants(spans, root):
+    children = {}
+    for span in spans:
+        children.setdefault(span["parent"], []).append(span)
+    found, frontier = [], [root["seq"]]
+    while frontier:
+        for child in children.get(frontier.pop(), []):
+            found.append(child)
+            frontier.append(child["seq"])
+    return found
+
+
+def test_engine_route_spans_each_scheme():
+    from repro.demands.generators import random_permutation_demand
+    from repro.engine import RoutingEngine
+    from repro.graphs import topologies
+
+    network = topologies.hypercube(3)
+    schemes = ["semi-oblivious(racke, alpha=2)", "spf", "ksp(k=2)", "optimal"]
+    engine = RoutingEngine(network, schemes, rng=0)
+    engine.install()
+    tracer = _recording_tracer()
+    engine.route(random_permutation_demand(network, rng=1))
+    spans = span_records(tracer.records)
+    (route,) = [s for s in spans if s["name"] == "engine.route"]
+    per_scheme = [s for s in spans if s["name"] == "engine.route_scheme"]
+    assert sorted(s["attrs"]["scheme"] for s in per_scheme) == sorted(engine.labels())
+    assert all(s["parent"] == route["seq"] for s in per_scheme)
+
+
+def test_every_semi_oblivious_resolve_spans_its_route_and_path_lp():
+    from repro.engine import build_router
+    from repro.graphs import topologies
+    from repro.stream import RandomWalkStream, run_stream
+
+    network = topologies.torus_2d(4)
+    router = build_router("semi-oblivious(racke, alpha=4)", network, rng=0)
+    router.install()
+    updates = list(RandomWalkStream(network, num_steps=48, seed=0).updates())
+    tracer = _recording_tracer()
+    run_stream(network, updates, router, policy="semi-oblivious(every=16)", backend="sparse")
+    spans = span_records(tracer.records)
+    resolves = [s for s in spans if s["name"] == "stream.resolve"]
+    assert len(resolves) == 3
+    for resolve in resolves:
+        inside = _descendants(spans, resolve)
+        (scheme,) = [s for s in inside if s["name"] == "engine.route_scheme"]
+        assert scheme["attrs"] == {"scheme": router.name}
+        assert [s["name"] for s in _descendants(spans, scheme)].count("mcf.path_lp") == 1
+
+
 def _sweep_trace(workers: int, executor: str):
     from repro.scenarios import get_suite, run_suite
 

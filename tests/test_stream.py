@@ -10,9 +10,12 @@ legs.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.demands.demand import Demand
 from repro.demands.traffic_matrix import diurnal_gravity_series
@@ -218,6 +221,38 @@ class TestRollingStats:
             RollingStreamStats(window=0)
         with pytest.raises(StreamError):
             RollingStreamStats(threshold=0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(
+                    [0.0, -0.0, 1.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e308, -1e308, math.inf, -math.inf, math.nan]
+                ),
+                st.floats(allow_nan=True, allow_infinity=True),
+            ),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    @example([math.inf])
+    @example([-0.0])
+    @example([0.0, 0.0, 0.0, 0.0, -0.0, -0.0])  # a full sort puts the zeros differently
+    def test_percentiles_are_numpys_bit_for_bit(self, values):
+        utilizations = np.array(values)
+        record = RollingStreamStats().observe(1.0, utilizations)
+        with np.errstate(all="ignore"):
+            expected = np.percentile(utilizations, PERCENTILES)
+        assert [record[f"p{level:g}_utilization"].hex() for level in PERCENTILES] == [
+            float(value).hex() for value in expected
+        ]
+
+    def test_percentile_edge_values(self):
+        stats = RollingStreamStats()
+        assert math.isnan(stats.observe(1.0, np.array([math.inf]))["p99_utilization"])
+        # numpy's top-index lerp keeps the sign of a lone negative zero.
+        assert stats.observe(1.0, np.array([-0.0]))["p95_utilization"].hex() == "-0x0.0p+0"
 
 
 # --------------------------------------------------------------------- #

@@ -1,19 +1,20 @@
 """The ``ecmp`` bench target: fractional-vs-realized gaps on the catalog.
 
-Registered with the :mod:`repro.linalg.bench` target registry (the
-``repro bench ecmp`` CLI path).  For each bundled real topology the
-bench installs the ``oblivious(ksp, k=4)`` fixed-ratio routing (LP-free,
-so the target runs identically on the numpy-only leg), fits one seeded
-gravity demand, and measures the max-congestion ratio between the
-fractional routing and its ECMP quantization for k in {2, 4, 8, 16},
-plus a flow-level realization at k=8 and the exact analytic
-non-congestion probability of the matching random flow placement.
+Run through :mod:`repro.bench` (``repro bench ecmp``).  For each
+bundled real topology the bench installs the ``oblivious(ksp, k=4)``
+fixed-ratio routing (LP-free, so the target runs identically on the
+numpy-only leg), fits one seeded gravity demand, and measures the
+max-congestion ratio between the fractional routing and its ECMP
+quantization for k in {2, 4, 8, 16}, plus a flow-level realization at
+k=8 and the exact analytic non-congestion probability of the matching
+random flow placement.
 
 The quantized gaps depend only on (topology, scheme, seed, k) — demand
 generation is scale-invariant by construction (one snapshot, the same
-per-topology SeedSequence streams at every scale) — so CI can compare a
-fresh smoke run against the committed full-scale ``BENCH_ecmp.json`` on
-the shared topologies with a tight tolerance.  Only the flow count (and
+per-topology SeedSequence streams at every scale) — so
+``tools/check_bench.py`` can compare a fresh smoke run against the
+committed full-scale ``BENCH_ecmp.json`` on the shared topologies with
+a tight tolerance.  Only the flow count (and
 hence runtime) grows with scale.
 """
 
@@ -25,7 +26,6 @@ from typing import Any, Dict, List
 import numpy as np
 
 from repro.engine.registry import build_router
-from repro.linalg.bench import BENCH_SCHEMA, environment_info, register_bench
 from repro.linalg.evaluator import build_evaluator
 from repro.net.catalog import catalog_entries, load_catalog_topology
 from repro.net.fitting import fitted_gravity_series
@@ -148,11 +148,7 @@ def bench_ecmp(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
         )
 
     num_tables = len(entries) * len(_BUCKET_SWEEP)
-    payload: Dict[str, Any] = {
-        "schema": BENCH_SCHEMA,
-        "name": "ecmp",
-        "scale": scale,
-        "seed": seed,
+    return {
         "network": {"name": "catalog", "n": total_nodes, "m": total_edges},
         "workload": {
             "num_topologies": len(entries),
@@ -183,13 +179,7 @@ def bench_ecmp(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
         "mean_gap_k8": mean_gap_k8 / len(entries),
         "gap_by_buckets": gap_by_buckets,
         "topologies": per_topology,
-        "environment": environment_info(),
     }
-    return payload
 
 
-register_bench(
-    "ecmp",
-    bench_ecmp,
-    "fractional-vs-ECMP-realized congestion gaps on the real-topology catalog",
-)
+__all__ = ["bench_ecmp"]

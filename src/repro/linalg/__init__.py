@@ -16,11 +16,12 @@ backends (``dict`` reference loops vs compiled ``sparse``/``dense``)::
 
 Selected throughout the stack via ``RoutingEngine(backend=...)``,
 ``te/metrics`` keyword arguments, ``run_suite(..., backend=...)`` and
-the ``--backend`` CLI flags.  ``repro bench`` emits the ``BENCH_*.json``
-performance baselines comparing the backends; its targets live in
-:mod:`repro.linalg.bench`, imported on demand (benchmarks pull in the
-``te``/``scenarios`` layers above this package, so they are not loaded
-here).
+the ``--backend`` CLI flags.  ``repro bench`` (the :mod:`repro.bench`
+harness) emits the ``BENCH_*.json`` performance baselines; the
+``linalg`` and ``rebase`` targets comparing the backends live in
+:mod:`repro.linalg.bench`, imported on demand (the rebase target pulls
+in the ``te``/``scenarios`` layers above this package, so it is not
+loaded here).
 """
 
 from repro.linalg._matrix import HAVE_SCIPY

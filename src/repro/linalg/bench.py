@@ -1,58 +1,26 @@
-"""Benchmark targets behind the ``repro bench`` CLI subcommand.
+"""The ``linalg`` and ``rebase`` bench targets (run through :mod:`repro.bench`).
 
 Each target compares the ``dict`` reference evaluator against the
-compiled ``sparse`` backend on a reproducible workload and emits a
-schema-stable artifact (``BENCH_<name>.json``) recording wall time,
-topology size, achieved demands/sec per backend, and the measured
-numerical agreement.  The artifacts are the repository's performance
-trajectory: committed baselines live at the repo root, CI regenerates a
-smoke-scale variant per run.
-
-Artifact schema (``repro-bench/v1``)::
-
-    {
-      "schema": "repro-bench/v1",
-      "name": "linalg",             # bench target
-      "scale": "full",              # smoke | small | full
-      "seed": 0,
-      "network":  {"name": ..., "n": ..., "m": ...},
-      "workload": {"num_demands": ..., "num_pairs": ..., "num_paths": ...},
-      "backends": {
-        "dict":   {"backend": "dict",   "seconds": ..., "demands_per_sec": ...},
-        "sparse": {"backend": "sparse", "seconds": ..., "demands_per_sec": ...,
-                   "compile_seconds": ...}
-      },
-      "speedup_sparse_over_dict": ...,
-      "max_abs_difference": ...,    # agreement between the two backends
-      "environment": {"python": ..., "numpy": ..., "scipy": true|false}
-    }
-
-Keys are only ever added, never renamed, so downstream tooling (the
-README performance table, CI artifact diffing) can rely on them.
+compiled ``sparse`` backend on a reproducible workload: a shortest-path
+routing on a 2-D torus and a batch of random permutation demands.  The
+payload records wall time, topology size, achieved demands/sec per
+backend, and the measured numerical agreement (``max_abs_difference``).
+The harness adds the envelope and the ``speedup_sparse_over_dict`` key.
 """
 
 from __future__ import annotations
 
-import platform
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
-from repro.core.routing import Routing
 from repro.demands.generators import random_permutation_demand
-from repro.exceptions import LinalgError
-from repro.graphs.network import Network
 from repro.graphs.topologies import torus_2d
-from repro.linalg._matrix import HAVE_SCIPY
-from repro.linalg.evaluator import DictEvaluator, SparseEvaluator, build_evaluator
+from repro.linalg.evaluator import DictEvaluator, build_evaluator
+from repro.oblivious.shortest_path import shortest_path_routing
 from repro.te.failures import KEdgeFailureProcess
 from repro.utils.rng import ensure_rng
-from repro.utils.serialization import dumps as json_dumps
 from repro.utils.timing import Stopwatch, timing_entry
-
-BENCH_SCHEMA = "repro-bench/v1"
-
-SCALES = ("smoke", "small", "full")
 
 #: Per-scale (torus side, batch size).  ``full`` is the committed
 #: baseline: a 15x15 torus has 225 vertices (>= 200) and the batch holds
@@ -64,42 +32,13 @@ _LINALG_SCALES: Dict[str, Tuple[int, int]] = {
 }
 
 
-def _shortest_path_routing(network: Network) -> Routing:
-    """Single shortest path per ordered pair (the SMORE ``spf`` baseline)."""
-    import networkx as nx
-
-    trees = dict(nx.all_pairs_shortest_path(network.graph))
-    mapping = {
-        (source, target): trees[source][target]
-        for source in network.vertices
-        for target in network.vertices
-        if source != target
-    }
-    return Routing.single_path(network, mapping)
-
-
 def _workload(scale: str, seed: int):
     side, num_demands = _LINALG_SCALES[scale]
     network = torus_2d(side)
-    routing = _shortest_path_routing(network)
+    routing = shortest_path_routing(network)
     rng = ensure_rng(seed)
     demands = [random_permutation_demand(network, rng=rng) for _ in range(num_demands)]
     return network, routing, demands
-
-
-def environment_info() -> Dict[str, Any]:
-    """The ``environment`` block shared by every bench artifact."""
-    try:
-        import scipy
-
-        scipy_version = scipy.__version__
-    except ImportError:  # pragma: no cover
-        scipy_version = None
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy_version if HAVE_SCIPY else False,
-    }
 
 
 def bench_linalg(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
@@ -126,10 +65,6 @@ def bench_linalg(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
 
     max_diff = float(np.max(np.abs(dict_congestions - sparse_congestions), initial=0.0))
     return {
-        "schema": BENCH_SCHEMA,
-        "name": "linalg",
-        "scale": scale,
-        "seed": seed,
         "network": {"name": network.name, "n": network.num_vertices, "m": network.num_edges},
         "workload": {
             "num_demands": len(demands),
@@ -151,9 +86,7 @@ def bench_linalg(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
                 ),
             },
         },
-        "speedup_sparse_over_dict": dict_seconds / sparse_seconds if sparse_seconds > 0 else None,
         "max_abs_difference": max_diff,
-        "environment": environment_info(),
     }
 
 
@@ -225,10 +158,6 @@ def bench_rebase(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
     )
     evaluations = len(events) * len(demands)
     return {
-        "schema": BENCH_SCHEMA,
-        "name": "rebase",
-        "scale": scale,
-        "seed": seed,
         "network": {"name": network.name, "n": network.num_vertices, "m": network.num_edges},
         "workload": {
             "num_demands": len(demands),
@@ -247,99 +176,9 @@ def bench_rebase(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
                 **timing_entry(sparse_seconds, count=evaluations, rate_key="demands_per_sec"),
             },
         },
-        "speedup_sparse_over_dict": dict_seconds / sparse_seconds if sparse_seconds > 0 else None,
         "max_abs_difference": max_diff,
         "finiteness_mismatches": finiteness_mismatches,
-        "environment": environment_info(),
     }
 
 
-#: name -> (runner, one-line description).  Extended at import time by
-#: higher layers through :func:`register_bench` (the streaming layer
-#: registers ``stream``); :func:`_ensure_registered` pulls those layers
-#: in lazily so ``repro bench`` always sees the full target list without
-#: this module importing upward eagerly.
-BENCH_TARGETS: Dict[str, Tuple[Callable[..., Dict[str, Any]], str]] = {
-    "linalg": (bench_linalg, "batched demand evaluation: dict loops vs sparse matmul"),
-    "rebase": (bench_rebase, "post-failure evaluation: renormalize loops vs compiled rebase"),
-}
-
-#: Modules above linalg that register bench targets on import.
-_EXTERNAL_BENCH_MODULES = (
-    "repro.stream.bench",
-    "repro.net.bench",
-    "repro.telemetry.bench",
-    "repro.scenarios.bench",
-    "repro.obs.bench",
-    "repro.forwarding.bench",
-    "repro.synth.bench",
-)
-
-
-def register_bench(
-    name: str,
-    runner: Callable[..., Dict[str, Any]],
-    description: str,
-    overwrite: bool = False,
-) -> None:
-    """Register a bench target (``runner(scale=..., seed=...) -> payload``)."""
-    if name in BENCH_TARGETS and not overwrite:
-        raise LinalgError(f"bench target {name!r} is already registered (pass overwrite=True)")
-    BENCH_TARGETS[name] = (runner, description)
-
-
-def _ensure_registered() -> None:
-    import importlib
-
-    for module in _EXTERNAL_BENCH_MODULES:
-        importlib.import_module(module)
-
-
-def available_benches() -> List[str]:
-    _ensure_registered()
-    return sorted(BENCH_TARGETS)
-
-
-def run_bench(name: str, scale: str = "small", seed: int = 0) -> Dict[str, Any]:
-    """Run one registered bench target and return its artifact payload."""
-    _ensure_registered()
-    if name not in BENCH_TARGETS:
-        raise LinalgError(f"unknown bench target {name!r}; available: {available_benches()}")
-    if scale not in SCALES:
-        raise LinalgError(f"unknown bench scale {scale!r}; available: {list(SCALES)}")
-    runner, _ = BENCH_TARGETS[name]
-    return runner(scale=scale, seed=seed)
-
-
-def write_bench_artifact(payload: Dict[str, Any], output_dir: str = ".") -> str:
-    """Write the bench artifact under ``output_dir``; returns the path.
-
-    Full-scale runs write the canonical ``BENCH_<name>.json`` (the
-    committed baselines); other scales write
-    ``BENCH_<name>_<scale>.json``, so a casual ``repro bench`` from the
-    repository root can never clobber a committed full-scale baseline
-    with smaller numbers.
-    """
-    import os
-
-    os.makedirs(output_dir, exist_ok=True)
-    scale = payload.get("scale", "full")
-    suffix = "" if scale == "full" else f"_{scale}"
-    path = os.path.join(output_dir, f"BENCH_{payload['name']}{suffix}.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json_dumps(payload) + "\n")
-    return path
-
-
-__all__ = [
-    "BENCH_SCHEMA",
-    "BENCH_TARGETS",
-    "SCALES",
-    "available_benches",
-    "bench_linalg",
-    "bench_rebase",
-    "environment_info",
-    "register_bench",
-    "run_bench",
-    "write_bench_artifact",
-]
+__all__ = ["bench_linalg", "bench_rebase"]

@@ -1,7 +1,6 @@
 """The ``net`` bench target: compile + evaluate every catalog topology.
 
-Registered with the :mod:`repro.linalg.bench` target registry (the
-``repro bench net`` CLI path).  For each bundled real topology the bench
+Run through :mod:`repro.bench` (``repro bench net``).  For each bundled real topology the bench
 parses the catalog file, installs the shortest-path (``spf``) routing,
 fits a gravity demand batch, and measures congestion evaluation through
 the ``dict`` reference evaluator against the compiled ``sparse`` backend
@@ -10,9 +9,9 @@ topology, the parse, compile, and batch-evaluate costs on heterogeneous
 real capacities (where utilization division actually exercises the
 capacity vector, unlike the unit-capacity synthetic workloads).
 
-The aggregate ``backends`` / ``speedup`` / ``max_abs_difference`` keys
-follow the ``repro-bench/v1`` schema; the per-topology breakdown lives
-under the additive ``topologies`` key.
+The aggregate ``backends`` / ``max_abs_difference`` keys follow the
+``repro-bench/v1`` schema; the per-topology breakdown lives under the
+additive ``topologies`` key.
 """
 
 from __future__ import annotations
@@ -21,10 +20,10 @@ from typing import Any, Dict, List
 
 import numpy as np
 
-from repro.linalg.bench import BENCH_SCHEMA, environment_info, register_bench
 from repro.linalg.evaluator import DictEvaluator, build_evaluator
 from repro.net.catalog import catalog_entries, load_catalog_topology
 from repro.net.fitting import fitted_gravity_series
+from repro.oblivious.shortest_path import shortest_path_routing
 from repro.utils.timing import Stopwatch, timing_entry
 
 #: Demand matrices evaluated per topology, per scale.
@@ -37,8 +36,6 @@ _SMOKE_TOPOLOGIES = 3
 
 def bench_net(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
     """Parse, compile, and batch-evaluate the bundled real-topology catalog."""
-    from repro.linalg.bench import _shortest_path_routing
-
     num_demands = _NET_SCALES[scale]
     entries = sorted(catalog_entries(), key=lambda entry: (entry.nodes, entry.name))
     if scale == "smoke":
@@ -56,7 +53,7 @@ def bench_net(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
     for index, entry in enumerate(entries):
         with Stopwatch() as parse_watch:
             network = load_catalog_topology(entry.qualified_name)
-        routing = _shortest_path_routing(network)
+        routing = shortest_path_routing(network)
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), index]))
         demands = list(fitted_gravity_series(network, num_demands, rng=rng))
 
@@ -104,10 +101,6 @@ def bench_net(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
 
     evaluations = num_demands * len(entries)
     return {
-        "schema": BENCH_SCHEMA,
-        "name": "net",
-        "scale": scale,
-        "seed": seed,
         "network": {"name": "catalog", "n": total_nodes, "m": total_edges},
         "workload": {
             "num_topologies": len(entries),
@@ -130,17 +123,9 @@ def bench_net(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
                 ),
             },
         },
-        "speedup_sparse_over_dict": dict_total / sparse_total if sparse_total > 0 else None,
         "max_abs_difference": max_diff,
         "topologies": per_topology,
-        "environment": environment_info(),
     }
 
-
-register_bench(
-    "net",
-    bench_net,
-    "real-topology catalog: parse + compile + batch evaluation per entry",
-)
 
 __all__ = ["bench_net"]

@@ -5,6 +5,9 @@ Two baselines:
 * :class:`ShortestPathRouting` — the deterministic single shortest path
   per pair.  This is the 1-sparse oblivious routing whose competitiveness
   on hypercubes is Θ̃(√n) ([KKT91]); it anchors experiment E4.
+  :func:`shortest_path_routing` builds the same kind of all-pairs table
+  in one ``all_pairs_shortest_path`` sweep (the SMORE ``spf`` baseline
+  the bench targets and the ``estimated`` demand axis compile).
 * :class:`KShortestPathRouting` — the uniform distribution over the k
   shortest simple paths, a common traffic-engineering baseline (and the
   path set "KSP" that SMORE compares against).
@@ -17,6 +20,7 @@ from typing import Dict
 
 import networkx as nx
 
+from repro.core.routing import Routing
 from repro.exceptions import RoutingError
 from repro.graphs.network import Network, Path, Vertex
 from repro.oblivious.base import ObliviousRoutingBuilder
@@ -30,6 +34,18 @@ class ShortestPathRouting(ObliviousRoutingBuilder):
     def distribution_for(self, source: Vertex, target: Vertex) -> Dict[Path, float]:
         path = self.network.shortest_path(source, target)
         return {path: 1.0}
+
+
+def shortest_path_routing(network: Network) -> Routing:
+    """Single shortest path per ordered pair, from one all-pairs BFS sweep."""
+    trees = dict(nx.all_pairs_shortest_path(network.graph))
+    mapping = {
+        (source, target): trees[source][target]
+        for source in network.vertices
+        for target in network.vertices
+        if source != target
+    }
+    return Routing.single_path(network, mapping)
 
 
 class KShortestPathRouting(ObliviousRoutingBuilder):
@@ -82,4 +98,4 @@ class KShortestPathRouting(ObliviousRoutingBuilder):
         return {path: probability for path in paths}
 
 
-__all__ = ["ShortestPathRouting", "KShortestPathRouting"]
+__all__ = ["ShortestPathRouting", "KShortestPathRouting", "shortest_path_routing"]

@@ -1,10 +1,10 @@
 """The ``obs`` bench target: what the tracing layer itself costs.
 
-Registered with the :mod:`repro.linalg.bench` target registry (the
-``repro bench obs`` CLI path).  The instrumentation threaded through the
-hot paths is only acceptable if it is effectively free when no tracer is
-installed and cheap when one is; this target measures both, so the
-observability layer is perf-regression-gated like every other subsystem.
+Run through :mod:`repro.bench` (``repro bench obs``).  The
+instrumentation threaded through the hot paths is only acceptable if it
+is effectively free when no tracer is installed and cheap when one is;
+this target measures both, so the observability layer is
+perf-regression-gated like every other subsystem.
 
 Two legs:
 
@@ -30,35 +30,36 @@ Two legs:
     figure is informational, the gated numbers come from the batched
     leg where min-of-reps makes them stable).
 
-Gate fields (asserted by CI against the committed ``BENCH_obs.json``):
-``overhead_disabled_pct`` must stay ≈ 0 and ``overhead_enabled_pct``
-must stay < 5.
+Gate fields (asserted by ``tools/check_bench.py`` against the committed
+``BENCH_obs.json``): ``overhead_disabled_pct`` must stay ≈ 0 and
+``overhead_enabled_pct`` must stay < 5.
 """
 
 from __future__ import annotations
 
+import statistics
 from typing import Any, Dict, List, Tuple
 
-from repro.linalg.bench import (
-    BENCH_SCHEMA,
-    _workload,
-    environment_info,
-    register_bench,
-)
+from repro.demands.generators import random_permutation_demand
+from repro.graphs.topologies import torus_2d
 from repro.linalg.evaluator import build_evaluator
+from repro.oblivious.shortest_path import shortest_path_routing
+from repro.utils.rng import ensure_rng
 from repro.utils.timing import Stopwatch, timing_entry
 
 from repro.obs.sinks import RecordingSink
 from repro.obs.tracer import Tracer, install_tracer, uninstall_tracer
 
-#: Per-scale (rounds, inner evaluations per timed chunk) for the
-#: batched leg.  Small scales need many inner evaluations to push each
-#: timed chunk well past timer granularity (a single smoke batch is
-#: ~1 ms, where per-chunk jitter runs multi-percent).
-_OBS_REPS: Dict[str, Tuple[int, int]] = {
-    "smoke": (15, 25),
-    "small": (11, 5),
-    "full": (31, 1),
+#: Per-scale (torus side, batch size, rounds, inner evaluations per
+#: timed chunk) for the batched leg.  The workload is the ``linalg``
+#: target's: a shortest-path routing and random permutation demands.
+#: Small scales need many inner evaluations to push each timed chunk
+#: well past timer granularity (a single smoke batch is ~1 ms, where
+#: per-chunk jitter runs multi-percent).
+_OBS_SCALES: Dict[str, Tuple[int, int, int, int]] = {
+    "smoke": (6, 50, 15, 25),
+    "small": (10, 200, 11, 5),
+    "full": (15, 1000, 31, 1),
 }
 
 
@@ -113,14 +114,6 @@ def _interleaved_round_seconds(
     return samples
 
 
-def _median(values: List[float]) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
-
-
 def _paired_overhead_pct(samples: Dict[str, List[float]], name: str) -> float:
     """Overhead of leg ``name`` vs ``baseline`` in percent, drift-immune.
 
@@ -140,7 +133,7 @@ def _paired_overhead_pct(samples: Dict[str, List[float]], name: str) -> float:
     ]
     if not ratios:
         return 0.0
-    return (_median(ratios) - 1.0) * 100.0
+    return (statistics.median(ratios) - 1.0) * 100.0
 
 
 def _overhead_pct(seconds: float, baseline: float) -> float:
@@ -152,8 +145,11 @@ def _overhead_pct(seconds: float, baseline: float) -> float:
 
 def bench_obs(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
     """Instrumentation overhead: untraced vs no-op-traced vs recording."""
-    network, routing, demands = _workload(scale, seed)
-    rounds, inner = _OBS_REPS[scale]
+    side, num_demands, rounds, inner = _OBS_SCALES[scale]
+    network = torus_2d(side)
+    routing = shortest_path_routing(network)
+    rng = ensure_rng(seed)
+    demands = [random_permutation_demand(network, rng=rng) for _ in range(num_demands)]
 
     evaluator = build_evaluator(routing, backend="sparse")
     compiled = evaluator.compiled
@@ -212,10 +208,6 @@ def bench_obs(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
 
     batch_size = len(demands)
     return {
-        "schema": BENCH_SCHEMA,
-        "name": "obs",
-        "scale": scale,
-        "seed": seed,
         "network": {"name": network.name, "n": network.num_vertices, "m": network.num_edges},
         "workload": {
             "num_demands": batch_size,
@@ -255,16 +247,7 @@ def bench_obs(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
             "overhead_pct": _overhead_pct(sweep_traced, sweep_plain),
             "num_spans": sweep_spans,
         },
-        "environment": environment_info(),
     }
 
-
-# overwrite=True keeps module re-imports (test reloads) idempotent.
-register_bench(
-    "obs",
-    bench_obs,
-    "tracing overhead: untraced vs no-op spans vs a recording tracer",
-    overwrite=True,
-)
 
 __all__ = ["bench_obs"]

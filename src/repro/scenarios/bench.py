@@ -1,7 +1,6 @@
 """The ``sweep`` bench target: shared-memory executor vs rebuild baseline.
 
-Registered with the :mod:`repro.linalg.bench` target registry (the
-``repro bench sweep`` CLI path).  The bench runs one install-heavy
+Run through :mod:`repro.bench` (``repro bench sweep``).  The bench runs one install-heavy
 scenario suite twice through :func:`repro.scenarios.runner.run_suite`
 with identical worker counts:
 
@@ -33,7 +32,6 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from repro.linalg.bench import BENCH_SCHEMA, environment_info, register_bench
 from repro.utils.timing import Stopwatch, timing_entry
 
 from repro.scenarios.runner import _STREAM_TOPOLOGY, _derived_rng, run_suite
@@ -75,10 +73,6 @@ _SWEEP_SCALES: Dict[str, Dict[str, Any]] = {
 
 def sweep_bench_suite(scale: str = "small", seed: int = 0) -> ScenarioSuite:
     """The install-heavy suite a given bench scale executes."""
-    if scale not in _SWEEP_SCALES:
-        raise ValueError(
-            f"unknown bench scale {scale!r}; available: {sorted(_SWEEP_SCALES)}"
-        )
     config = _SWEEP_SCALES[scale]
     failures = [FailureSpec("none")]
     failures += [
@@ -131,10 +125,6 @@ def bench_sweep(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
     rebuild_seconds = rebuild_watch.elapsed
     shared_seconds = shared_watch.elapsed
     return {
-        "schema": BENCH_SCHEMA,
-        "name": "sweep",
-        "scale": scale,
-        "seed": seed,
         "network": {
             "name": "+".join(network.name for network in networks),
             "n": sum(network.num_vertices for network in networks),
@@ -158,19 +148,9 @@ def bench_sweep(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
                 **timing_entry(shared_seconds, count=num_cells, rate_key="cells_per_sec"),
             },
         },
-        "speedup_shared_over_rebuild": (
-            rebuild_seconds / shared_seconds if shared_seconds > 0 else None
-        ),
         "artifacts_identical": rebuild_result.to_json() == shared_result.to_json(),
         "leaked_segments": len(leaked),
-        "environment": environment_info(),
     }
 
-
-register_bench(
-    "sweep",
-    bench_sweep,
-    "sweep executors: shared-memory operators vs rebuild-per-worker engines",
-)
 
 __all__ = ["bench_sweep", "sweep_bench_suite"]

@@ -1,4 +1,6 @@
-"""The ``stream`` bench target: incremental vs per-step batch evaluation.
+"""The ``stream`` bench target (run through :mod:`repro.bench`).
+
+Incremental vs per-step batch evaluation.
 
 Plays one :class:`~repro.stream.sources.RandomWalkStream` over a
 shortest-path routing on a 2-D torus and evaluates every timestep two
@@ -30,13 +32,8 @@ from typing import Any, Dict, List, Tuple
 import numpy as np
 
 from repro.graphs.topologies import torus_2d
-from repro.linalg.bench import (
-    BENCH_SCHEMA,
-    _shortest_path_routing,
-    environment_info,
-    register_bench,
-)
 from repro.linalg.compiled import CompiledRouting
+from repro.oblivious.shortest_path import shortest_path_routing
 from repro.utils.timing import Stopwatch, timing_entry
 
 from repro.stream.incremental import IncrementalStreamEvaluator
@@ -61,7 +58,7 @@ def bench_stream(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
     """Streaming replay: per-step batch recompute vs incremental deltas."""
     side, num_steps, num_pairs, churn = _STREAM_SCALES[scale]
     network = torus_2d(side)
-    routing = _shortest_path_routing(network)
+    routing = shortest_path_routing(network)
     stream = RandomWalkStream(
         network, num_steps, seed=seed, num_pairs=num_pairs, churn=churn
     )
@@ -105,10 +102,6 @@ def bench_stream(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
     )
     steps = len(updates)
     return {
-        "schema": BENCH_SCHEMA,
-        "name": "stream",
-        "scale": scale,
-        "seed": seed,
         "network": {"name": network.name, "n": network.num_vertices, "m": network.num_edges},
         "workload": {
             "stream": stream.describe(),
@@ -136,20 +129,8 @@ def bench_stream(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
                 ),
             },
         },
-        "speedup_incremental_over_batch": (
-            batch_seconds / incremental_seconds if incremental_seconds > 0 else None
-        ),
         "max_abs_difference": max_diff,
-        "environment": environment_info(),
     }
 
-
-# overwrite=True keeps module re-imports (test reloads) idempotent.
-register_bench(
-    "stream",
-    bench_stream,
-    "streaming replay: incremental deltas vs per-step batch recompute",
-    overwrite=True,
-)
 
 __all__ = ["bench_stream"]

@@ -19,9 +19,9 @@ The artifact extends the common ``repro-bench/v1`` schema with:
 * the usual baseline-first ``backends`` block (untiled vs tiled at the
   largest point where both ran) with ``mem_peak_kb`` fields.
 
-CI regenerates the smoke scale on both dependency legs and gates the
-committed full-scale ``BENCH_scale.json`` (≥ 1k-node point evaluated
-under budget, tiled-vs-untiled agreement ≤ 1e-9).
+``tools/check_bench.py`` gates the smoke scale on both dependency legs
+and the committed full-scale ``BENCH_scale.json`` (≥ 1k-node point
+evaluated under budget, tiled-vs-untiled agreement ≤ 1e-9).
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from repro.core.routing import Routing
 from repro.demands.demand import Demand
 from repro.graphs.network import Network
 from repro.linalg._matrix import HAVE_SCIPY
-from repro.linalg.bench import environment_info, register_bench
 from repro.linalg.evaluator import build_evaluator
 from repro.synth.generators import isp
 from repro.utils.rng import ensure_rng
@@ -210,10 +209,6 @@ def bench_scale(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
 
     assert largest is not None
     return {
-        "schema": "repro-bench/v1",
-        "name": "scale",
-        "scale": scale,
-        "seed": seed,
         "network": {
             "name": largest.name,
             "n": largest.num_vertices,
@@ -232,14 +227,7 @@ def bench_scale(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
         "curves": curves,
         "backends": backends_block,
         "max_abs_difference": max_abs_difference,
-        "environment": environment_info(),
     }
 
-
-register_bench(
-    "scale",
-    bench_scale,
-    "scale frontier: nodes-vs-seconds/peak-MB curves, tiled vs untiled",
-)
 
 __all__ = ["EQUIVALENCE_TOL", "MEMORY_BUDGET_MB", "bench_scale"]

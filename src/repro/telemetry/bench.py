@@ -1,7 +1,6 @@
 """The ``odme`` bench target: demand estimation across the real catalog.
 
-Registered with the :mod:`repro.linalg.bench` target registry (the
-``repro bench odme`` CLI path).  For each bundled real topology the
+Run through :mod:`repro.bench` (``repro bench odme``).  For each bundled real topology the
 bench compiles the shortest-path routing, generates fitted-gravity truth
 snapshots, observes them through noise-free full-coverage ingress
 telemetry, and times the two estimator legs against each other:
@@ -17,9 +16,9 @@ known truth over the whole catalog — the committed baseline therefore
 doubles as a standing proof that noise-free closed-loop estimation is
 exact on every bundled real topology, not just the test trio.
 
-The aggregate ``backends`` / ``speedup`` / ``max_abs_difference`` keys
-follow the ``repro-bench/v1`` schema; the per-topology breakdown lives
-under the additive ``topologies`` key.
+The aggregate ``backends`` / ``max_abs_difference`` keys follow the
+``repro-bench/v1`` schema; the per-topology breakdown lives under the
+additive ``topologies`` key.
 """
 
 from __future__ import annotations
@@ -28,10 +27,10 @@ from typing import Any, Dict, List
 
 import numpy as np
 
-from repro.linalg.bench import BENCH_SCHEMA, environment_info, register_bench
 from repro.linalg.compiled import CompiledRouting
 from repro.net.catalog import catalog_entries, load_catalog_topology
 from repro.net.fitting import fitted_gravity_series
+from repro.oblivious.shortest_path import shortest_path_routing
 from repro.utils.timing import Stopwatch, timing_entry
 
 from repro.telemetry.observation import ObservationModel
@@ -47,8 +46,6 @@ _SMOKE_TOPOLOGIES = 3
 
 def bench_odme(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
     """Time NNLS vs entropy-IPF demand estimation on the real catalog."""
-    from repro.linalg.bench import _shortest_path_routing
-
     num_snapshots = _ODME_SCALES[scale]
     entries = sorted(catalog_entries(), key=lambda entry: (entry.nodes, entry.name))
     if scale == "smoke":
@@ -68,7 +65,7 @@ def bench_odme(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
     representation = "sparse"
     for index, entry in enumerate(entries):
         network = load_catalog_topology(entry.qualified_name)
-        routing = _shortest_path_routing(network)
+        routing = shortest_path_routing(network)
         with Stopwatch() as compile_watch:
             compiled = CompiledRouting.from_routing(routing)
         representation = compiled.representation
@@ -123,10 +120,6 @@ def bench_odme(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
 
     estimations = num_snapshots * len(entries)
     return {
-        "schema": BENCH_SCHEMA,
-        "name": "odme",
-        "scale": scale,
-        "seed": seed,
         "network": {"name": "catalog", "n": total_nodes, "m": total_edges},
         "workload": {
             "num_topologies": len(entries),
@@ -148,19 +141,9 @@ def bench_odme(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
                 **timing_entry(nnls_total, count=estimations, rate_key="demands_per_sec"),
             },
         },
-        "speedup_nnls_over_entropy": (
-            entropy_total / nnls_total if nnls_total > 0 else None
-        ),
         "max_abs_difference": max_error,
         "topologies": per_topology,
-        "environment": environment_info(),
     }
 
-
-register_bench(
-    "odme",
-    bench_odme,
-    "demand estimation: NNLS vs entropy-IPF over the real-topology catalog",
-)
 
 __all__ = ["bench_odme"]

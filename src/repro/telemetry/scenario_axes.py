@@ -27,6 +27,7 @@ from typing import Any, Dict
 from repro.demands.traffic_matrix import TrafficMatrixSeries
 from repro.graphs.network import Network
 from repro.linalg.compiled import CompiledRouting
+from repro.oblivious.shortest_path import shortest_path_routing
 from repro.scenarios.spec import DemandSpec, register_demand_kind
 
 from repro.telemetry.observation import ObservationModel
@@ -48,9 +49,7 @@ def _series_estimated(
     # The measurement routing is the spf baseline: demand-independent,
     # deterministic, and per-source shortest-path trees keep the
     # ingress-telemetry inverse problems well-posed.
-    from repro.linalg.bench import _shortest_path_routing
-
-    compiled = CompiledRouting.from_routing(_shortest_path_routing(network))
+    compiled = CompiledRouting.from_routing(shortest_path_routing(network))
     model = ObservationModel(
         noise=float(params.get("noise", 0.05)),
         coverage=float(params.get("coverage", 1.0)),

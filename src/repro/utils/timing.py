@@ -17,8 +17,8 @@ from typing import Dict, List, Optional
 class Stopwatch:
     """Context manager measuring one block with ``time.perf_counter``.
 
-    The bench targets (``repro bench linalg|rebase|stream``) and the
-    tracing spans (:mod:`repro.obs`) all time their measured blocks
+    Every ``repro bench`` target (see :mod:`repro.bench`) and the
+    tracing spans (:mod:`repro.obs`) time their measured blocks
     through this class::
 
         with Stopwatch() as watch:

@@ -191,9 +191,9 @@ def test_small_e12_sampled_coverage_at_least_spf():
 
 
 def test_rebase_bench_smoke_matches_reference():
-    from repro.linalg.bench import run_bench
+    from repro.bench import run
 
-    payload = run_bench("rebase", scale="smoke", seed=0)
+    payload = run("rebase", scale="smoke", seed=0)
     assert payload["schema"] == "repro-bench/v1"
     assert payload["max_abs_difference"] <= 1e-9
     assert payload["finiteness_mismatches"] == 0

@@ -18,7 +18,7 @@ from repro.linalg import (
     build_evaluator,
 )
 from repro.linalg import _matrix
-from repro.linalg.bench import available_benches, run_bench, write_bench_artifact
+from repro import bench
 from repro.te.failures import FailureEvent
 from repro.te.metrics import (
     batch_edge_loads,
@@ -294,23 +294,71 @@ def test_backend_choices_single_source():
         run_suite(get_suite("smoke"), backend="turbo")
 
 
+#: Each target's payload keys between the ``schema/name/scale/seed``
+#: envelope and the closing ``environment`` block, in order.
+_BENCH_BODY_KEYS = {
+    "ecmp": ["max_gap", "mean_gap_k8", "gap_by_buckets", "topologies"],
+    "linalg": ["speedup_sparse_over_dict", "max_abs_difference"],
+    "net": ["speedup_sparse_over_dict", "max_abs_difference", "topologies"],
+    "obs": ["overhead_disabled_pct", "overhead_enabled_pct", "sweep"],
+    "odme": ["speedup_nnls_over_entropy", "max_abs_difference", "topologies"],
+    "rebase": ["speedup_sparse_over_dict", "max_abs_difference", "finiteness_mismatches"],
+    "scale": ["memory_budget_mb", "within_budget", "curves", "backends", "max_abs_difference"],
+    "stream": ["speedup_incremental_over_batch", "max_abs_difference"],
+    "sweep": ["speedup_shared_over_rebuild", "artifacts_identical", "leaked_segments"],
+}
+
+
 def test_bench_smoke_schema(tmp_path):
-    assert "linalg" in available_benches()
-    payload = run_bench("linalg", scale="smoke", seed=0)
-    assert payload["schema"] == "repro-bench/v1"
-    assert payload["name"] == "linalg"
-    assert payload["network"]["n"] == 36
-    assert payload["workload"]["num_demands"] == 50
-    assert set(payload["backends"]) == {"dict", "sparse"}
-    for entry in payload["backends"].values():
-        assert entry["seconds"] > 0
-        assert entry["demands_per_sec"] > 0
-    assert payload["max_abs_difference"] <= 1e-9
+    assert bench.available() == sorted(_BENCH_BODY_KEYS)
+    for name in bench.available():
+        payload = bench.run(name, scale="smoke", seed=0)
+        body = _BENCH_BODY_KEYS[name]
+        if "backends" not in body:
+            body = ["backends", *body]
+        assert list(payload) == [
+            "schema", "name", "scale", "seed", "network", "workload", *body, "environment"
+        ], name
+        assert (payload["schema"], payload["name"], payload["scale"], payload["seed"]) == (
+            "repro-bench/v1", name, "smoke", 0
+        )
+        assert len(payload["backends"]) >= 2, name
+        for entry in payload["backends"].values():
+            assert entry["seconds"] > 0, name
+        if "max_abs_difference" in payload:
+            assert payload["max_abs_difference"] <= 1e-9, name
+        speedups = [key for key in payload if key.startswith("speedup_")]
+        if speedups:
+            reference, fast = list(payload["backends"])[:2]
+            assert speedups == [f"speedup_{fast}_over_{reference}"], name
+            assert "speedup" in bench.headline(payload)
+        else:
+            assert bench.headline(payload)
+        if name == "sweep":
+            assert payload["artifacts_identical"] is True
+            assert payload["leaked_segments"] == 0
+        elif name == "ecmp":
+            assert payload["workload"]["buckets"] == [2, 4, 8, 16]
+            assert payload["max_gap"] >= 1.0 - 1e-9
+        elif name == "scale":
+            assert payload["within_budget"] is True
+            assert all(
+                point["within_budget"]
+                for points in payload["curves"].values()
+                for point in points
+            )
+        elif name == "linalg":
+            assert payload["network"]["n"] == 36
+            assert payload["workload"]["num_demands"] == 50
+            assert set(payload["backends"]) == {"dict", "sparse"}
+            for entry in payload["backends"].values():
+                assert entry["demands_per_sec"] > 0
+            linalg_payload = payload
     # Non-full scales encode the scale in the filename, so they cannot
     # clobber the committed full-scale BENCH_linalg.json baseline.
-    path = write_bench_artifact(payload, output_dir=str(tmp_path))
+    path = bench.write(linalg_payload, output_dir=str(tmp_path))
     assert path.endswith("BENCH_linalg_smoke.json")
-    assert write_bench_artifact({**payload, "scale": "full"}, output_dir=str(tmp_path)).endswith(
+    assert bench.write({**linalg_payload, "scale": "full"}, output_dir=str(tmp_path)).endswith(
         "BENCH_linalg.json"
     )
     import json
@@ -318,9 +366,9 @@ def test_bench_smoke_schema(tmp_path):
     with open(path, encoding="utf-8") as handle:
         assert json.load(handle)["schema"] == "repro-bench/v1"
     with pytest.raises(LinalgError):
-        run_bench("nope")
+        bench.run("nope")
     with pytest.raises(LinalgError):
-        run_bench("linalg", scale="galactic")
+        bench.run("linalg", scale="galactic")
 
 
 def test_bench_cli_writes_artifact(tmp_path, capsys):

@@ -4,7 +4,11 @@ import pytest
 
 from repro.exceptions import RoutingError
 from repro.graphs.network import Network
-from repro.oblivious.shortest_path import KShortestPathRouting, ShortestPathRouting
+from repro.oblivious.shortest_path import (
+    KShortestPathRouting,
+    ShortestPathRouting,
+    shortest_path_routing,
+)
 
 
 def test_shortest_path_routing_is_deterministic_single_path(cube3):
@@ -49,3 +53,16 @@ def test_ksp_paths_are_shortest_first(cube3):
     builder = KShortestPathRouting(cube3, k=4)
     paths = sorted(builder.pair_distribution(0, 1).keys(), key=len)
     assert len(paths[0]) == 2  # the direct edge comes first
+
+
+def test_shortest_path_routing_installs_one_shortest_path_per_pair(cube3):
+    import networkx as nx
+
+    routing = shortest_path_routing(cube3)
+    lengths = dict(nx.all_pairs_shortest_path_length(cube3.graph))
+    pairs = [(s, t) for s in cube3.vertices for t in cube3.vertices if s != t]
+    for source, target in pairs:
+        (path, weight), = routing.distribution(source, target).items()
+        assert weight == 1.0
+        assert (path[0], path[-1]) == (source, target)
+        assert len(path) - 1 == lengths[source][target]

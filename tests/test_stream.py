@@ -406,10 +406,10 @@ class TestRunner:
 # --------------------------------------------------------------------- #
 class TestStreamBench:
     def test_smoke_payload(self):
-        from repro.linalg.bench import available_benches, run_bench
+        from repro.bench import available, run
 
-        assert "stream" in available_benches()
-        payload = run_bench("stream", scale="smoke", seed=0)
+        assert "stream" in available()
+        payload = run("stream", scale="smoke", seed=0)
         assert payload["schema"] == "repro-bench/v1"
         assert payload["name"] == "stream"
         assert set(payload["backends"]) == {"batch", "incremental"}

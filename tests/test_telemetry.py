@@ -19,9 +19,10 @@ from repro.engine import RoutingEngine
 from repro.exceptions import DemandError, TelemetryError
 from repro.graphs import topologies
 from repro.linalg import _matrix
-from repro.linalg.bench import _shortest_path_routing, run_bench
+from repro.bench import run as run_bench
 from repro.linalg.compiled import CompiledRouting
 from repro.net import load_network
+from repro.oblivious.shortest_path import shortest_path_routing
 from repro.net.fitting import IpfDiagnostics, fitted_gravity_series, max_entropy_demand
 from repro.scenarios.spec import DemandSpec, get_suite
 from repro.stream.metrics import RollingStreamStats
@@ -45,7 +46,7 @@ RECOVERY_TOPOLOGIES = ("zoo(abilene)", "sndlib(polska)", "sndlib(nobel-germany)"
 
 def _compiled_and_truth(source, seed=0):
     network = load_network(source)
-    compiled = CompiledRouting.from_routing(_shortest_path_routing(network))
+    compiled = CompiledRouting.from_routing(shortest_path_routing(network))
     truth = fitted_gravity_series(network, 1, rng=seed)[0]
     return network, compiled, truth
 
@@ -153,7 +154,7 @@ def test_gravity_prior_regularizes_link_granularity():
 def test_estimate_rejects_mismatched_observation():
     _, compiled, truth = _compiled_and_truth("zoo(abilene)")
     network = topologies.hypercube(3)
-    other = CompiledRouting.from_routing(_shortest_path_routing(network))
+    other = CompiledRouting.from_routing(shortest_path_routing(network))
     observation = ObservationModel().observe(other, fitted_gravity_series(network, 1, rng=0)[0])
     with pytest.raises(TelemetryError):
         estimate_demand(compiled, observation)

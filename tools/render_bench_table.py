@@ -8,7 +8,8 @@ Usage::
 With no arguments, reads every ``BENCH_*.json`` at the repository root.
 Prints a GitHub-flavored markdown table; paste the output into the
 "Evaluation backends" section of README.md after regenerating baselines
-with ``python -m repro bench --scale full``.
+with ``python -m repro bench --scale full``.  The last column is
+:func:`repro.bench.headline`, the figure ``repro bench`` prints too.
 """
 
 from __future__ import annotations
@@ -18,81 +19,29 @@ import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
+
+from repro.bench import SCHEMA, headline
 
 
-def load_artifacts(paths):
-    artifacts = []
-    for path in paths:
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        if payload.get("schema") != "repro-bench/v1":
-            raise SystemExit(f"{path}: unknown bench schema {payload.get('schema')!r}")
-        artifacts.append(payload)
-    return artifacts
-
-
-def _workload_summary(workload) -> str:
-    if "num_steps" in workload:
-        return f"{workload['num_steps']} stream steps"
-    if "num_estimations" in workload:
-        return f"{workload['num_estimations']} estimations"
-    if "num_cells" in workload:
-        return f"{workload['num_cells']} cells x {workload['workers']} workers"
-    if "buckets" in workload:
-        return (f"{workload['num_topologies']} topologies x "
-                f"{len(workload['buckets'])} bucket sizes")
-    if "node_counts" in workload:
-        counts = workload["node_counts"]
-        return f"{counts[0]}-{counts[-1]} nodes x {workload['num_demands']} demands"
-    summary = f"{workload['num_demands']} demands"
-    if "num_events" in workload:
-        summary += f" x {workload['num_events']} failures"
-    return summary
-
-
-def render(artifacts) -> str:
-    """Baseline/fast columns are generic: every payload orders its
-    ``backends`` mapping baseline-first and carries either one
-    ``speedup_<fast>_over_<baseline>`` key or (overhead-style benches,
-    e.g. ``obs``) an ``overhead_enabled_pct`` figure."""
+def render(paths) -> str:
+    """One row per artifact: its first two legs (reference-first) and its headline."""
     lines = [
-        "| bench | topology | workload | baseline | fast | speedup |",
-        "|---|---|---|---|---|---|",
+        "| bench | topology | baseline | fast | headline |",
+        "|---|---|---|---|---|",
     ]
-    for payload in artifacts:
+    for path in paths:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        if payload.get("schema") != SCHEMA:
+            raise SystemExit(f"{path}: unknown bench schema {payload.get('schema')!r}")
         network = payload["network"]
-        baseline_name, fast_name = list(payload["backends"])[:2]
-        baseline = payload["backends"][baseline_name]
-        fast = payload["backends"][fast_name]
-        speedup = next(
-            (value for key, value in payload.items() if key.startswith("speedup_")),
-            None,
-        )
-        if speedup is not None:
-            figure = f"**{speedup:.1f}x**"
-        elif "max_gap" in payload:
-            # Gap-style payloads (e.g. ``ecmp``) compare a fractional
-            # reference against a realized leg, not slow-vs-fast.
-            figure = f"{payload['max_gap']:.3f}x max gap"
-        elif "curves" in payload:
-            # Scale-curve payloads compare untiled vs memory-bounded
-            # tiled evaluation; the figure is the largest tiled peak
-            # against the configured budget.
-            peak = max(
-                point["mem_peak_mb"]
-                for points in payload["curves"].values()
-                for point in points
-            )
-            figure = f"{peak:.1f} / {payload['memory_budget_mb']:.0f} MB peak"
-        else:
-            figure = f"{payload['overhead_enabled_pct']:+.1f}% overhead"
+        (baseline_name, baseline), (fast_name, fast) = list(payload["backends"].items())[:2]
         lines.append(
             f"| `{payload['name']}` "
             f"| {network['name']} (n={network['n']}, m={network['m']}) "
-            f"| {_workload_summary(payload['workload'])} "
             f"| {baseline['seconds']:.2f} s ({baseline_name}) "
             f"| {fast['seconds']:.2f} s ({fast_name}) "
-            f"| {figure} |"
+            f"| {headline(payload)} |"
         )
     return "\n".join(lines)
 
@@ -103,7 +52,7 @@ def main(argv) -> int:
         print("no BENCH_*.json artifacts found; run: python -m repro bench --scale full",
               file=sys.stderr)
         return 1
-    print(render(load_artifacts(paths)))
+    print(render(paths))
     return 0
 
 
